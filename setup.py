@@ -1,10 +1,10 @@
 """Setuptools shim.
 
-The execution environment lacks the ``wheel`` package, so PEP 660
-editable installs (``pip install -e .`` via pyproject.toml alone) fail
-with ``invalid command 'bdist_wheel'``.  This shim lets the legacy
-``setup.py develop`` path work: ``pip install -e . --no-use-pep517
---no-build-isolation``.  All metadata lives in pyproject.toml.
+There is no ``pyproject.toml`` and no packaging metadata: the package
+is used straight from the checkout with ``PYTHONPATH=src``.  This shim
+only makes a development install possible where the ``wheel`` package
+is missing (``pip install -e . --no-use-pep517 --no-build-isolation``
+runs the legacy ``setup.py develop`` path).
 """
 
 from setuptools import setup

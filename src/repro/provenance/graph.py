@@ -236,6 +236,13 @@ class ProvenanceGraph:
             raise UnknownNodeError(f"unknown node {ref}")
         return list(self._out[ref])
 
+    def last_out_edge(self, ref: NodeRef) -> Optional[Edge]:
+        """The most recently added dependency of ``ref``, if any."""
+        if ref not in self._nodes:
+            raise UnknownNodeError(f"unknown node {ref}")
+        edges = self._out[ref]
+        return edges[-1] if edges else None
+
     def in_edges(self, ref: NodeRef) -> List[Edge]:
         """Direct descendants of ``ref``."""
         if ref not in self._nodes:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.cloud.blob import Blob
 from repro.errors import TraceError
-from repro.provenance.graph import EdgeType, NodeRef, NodeType, ProvenanceGraph
+from repro.provenance.graph import Edge, EdgeType, NodeRef, NodeType, ProvenanceGraph
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.syscalls import (
     CloseEvent,
@@ -282,11 +282,14 @@ class PassCollector:
             self._new_file_version(event.path, decision.previous, decision.ref)
         file_ref = decision.ref
         # Avoid duplicate input edges for repeated writes into one version.
-        already = any(
-            e.dst == proc_ref and e.edge_type is EdgeType.INPUT
-            for e in self.graph.out_edges(file_ref)
-        )
-        if not already:
+        # Checking only the last out-edge is exact: a different writer
+        # always gets a new file version, so every INPUT out-edge of one
+        # file version points at a version of a single process, and
+        # process versions only grow.  An earlier file_ref -> proc_ref
+        # edge can therefore only be file_ref's most recent out-edge.
+        if self.graph.last_out_edge(file_ref) != Edge(
+            file_ref, proc_ref, EdgeType.INPUT
+        ):
             self.graph.add_edge(file_ref, proc_ref, EdgeType.INPUT)
             self._record(ProvenanceRecord(file_ref, "input", proc_ref))
         self.versions.mark_process_wrote(proc_uuid)

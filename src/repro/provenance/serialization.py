@@ -69,13 +69,19 @@ def encode_record(record: ProvenanceRecord) -> str:
 
 def decode_record(line: str) -> ProvenanceRecord:
     """Inverse of :func:`encode_record`."""
-    parts = _split_pipes(line)
+    # Escaping turns every raw ``|`` and ``\`` into a backslash pair, so
+    # a line without a backslash has pipes only as separators and nothing
+    # to unescape: ``str.split`` gives exactly what the loops would.
+    escaped = "\\" in line
+    parts = _split_pipes(line) if escaped else line.split("|")
     if len(parts) != 4:
         raise ValueError(f"malformed record line: {line!r}")
-    subject_text, attribute, kind, value_text = parts
-    subject = NodeRef.parse(_unescape(subject_text))
-    attribute = _unescape(attribute)
-    raw_value = _unescape(value_text)
+    subject_text, attribute, kind, raw_value = parts
+    if escaped:
+        subject_text = _unescape(subject_text)
+        attribute = _unescape(attribute)
+        raw_value = _unescape(raw_value)
+    subject = NodeRef.parse(subject_text)
     if kind == "x":
         return ProvenanceRecord(subject, attribute, NodeRef.parse(raw_value))
     if kind == "s":

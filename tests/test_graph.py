@@ -58,6 +58,16 @@ class TestGraphConstruction:
         assert [e.dst for e in graph.out_edges(A)] == [B]
         assert [e.src for e in graph.in_edges(B)] == [A]
 
+    def test_last_out_edge(self):
+        graph = _graph_with(A, B, C)
+        assert graph.last_out_edge(A) is None
+        graph.add_edge(A, B, EdgeType.VERSION)
+        graph.add_edge(A, C, EdgeType.INPUT)
+        assert graph.last_out_edge(A) == graph.out_edges(A)[-1]
+        assert graph.last_out_edge(A).dst == C
+        with pytest.raises(UnknownNodeError):
+            graph.last_out_edge(NodeRef("z", 0))
+
     def test_edge_to_unknown_node(self):
         graph = _graph_with(A)
         with pytest.raises(UnknownNodeError):

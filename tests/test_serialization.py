@@ -1,11 +1,13 @@
 """Tests for the record wire encoding."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.serialization import (
+    _split_pipes,
+    _unescape,
     chunk_encoded,
     decode_record,
     decode_records,
@@ -14,6 +16,43 @@ from repro.provenance.serialization import (
 )
 
 REF = NodeRef("f-000001", 3)
+
+
+def _reference_decode(line):
+    """The character-loop decoder: every line goes through
+    ``_split_pipes``, and subject, attribute and value through
+    ``_unescape``; the kind is compared raw."""
+    parts = _split_pipes(line)
+    if len(parts) != 4:
+        raise ValueError(f"malformed record line: {line!r}")
+    subject_text, attribute, kind, value_text = parts
+    subject = NodeRef.parse(_unescape(subject_text))
+    attribute = _unescape(attribute)
+    raw_value = _unescape(value_text)
+    if kind == "x":
+        return ProvenanceRecord(subject, attribute, NodeRef.parse(raw_value))
+    if kind == "s":
+        return ProvenanceRecord(subject, attribute, raw_value)
+    raise ValueError(f"unknown value kind {kind!r} in line {line!r}")
+
+
+def _outcome(decode, line):
+    try:
+        return ("record", decode(line))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+# Wire text biased towards the characters the escaping and the record
+# grammar care about, plus arbitrary Unicode.
+_wire_char = st.sampled_from(list("\\|pnrxs_0123456789\n")) | st.characters()
+_wire_text = st.text(alphabet=_wire_char, max_size=12)
+_wire_field = _wire_text | st.sampled_from(
+    ["x", "s", "\\x", "\\s", "f-000001_3", "p_0", "a\\", "\\", "\\p"]
+)
+_wire_line = st.text(alphabet=_wire_char, max_size=40) | st.lists(
+    _wire_field, min_size=3, max_size=5
+).map("|".join)
 
 
 class TestEncodeDecode:
@@ -75,6 +114,20 @@ class TestEncodeDecode:
             for attribute, value in pairs
         ]
         assert decode_records(encode_records(records)) == records
+
+    @settings(max_examples=500)
+    @given(_wire_line)
+    @example("f_1|name|s|value\\")
+    @example("f_1|name|\\x|p_0")
+    @example("f_1|name|\\s|v")
+    @example("f_1|name|s")
+    @example("f_1|name|s|v|w")
+    @example("f_1|na\\pme|x|p\\\\_0")
+    @example("\\")
+    def test_decode_matches_reference(self, line):
+        """Any line — well-formed or not — decodes to the same record, or
+        fails with the same message, as the character-loop reference."""
+        assert _outcome(decode_record, line) == _outcome(_reference_decode, line)
 
 
 class TestChunking:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceError
-from repro.provenance.graph import EdgeType, NodeRef
+from repro.provenance.graph import EdgeType, NodeRef, NodeType
 from repro.provenance.pass_collector import (
     ComputeIntent,
     DeleteIntent,
@@ -12,7 +12,7 @@ from repro.provenance.pass_collector import (
     PassCollector,
     ReadIntent,
 )
-from repro.provenance.syscalls import TraceBuilder
+from repro.provenance.syscalls import TraceBuilder, WriteEvent
 from repro.provenance.versioning import VersionManager
 
 
@@ -248,3 +248,60 @@ class TestCollectorVersioning:
         collector.feed_trace(builder.trace)  # CycleError would propagate
         for node in collector.graph.nodes():
             assert node.ref not in collector.graph.ancestors(node.ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=3),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["read", "write", "flush"]),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_collector_input_edges_deduplicated(self, processes, operations):
+        """With several processes interleaving reads, writes and flushes
+        over a few files, every write leaves exactly one file -> process
+        INPUT edge per (file version, process version) pair, and no
+        out-edge of a file version appears twice.  (Repeated reads do
+        record repeated process -> file edges; only writes coalesce.)"""
+        builder = TraceBuilder()
+        pids = [builder.spawn(f"fuzz-{i}") for i in range(processes)]
+        paths = [f"/f{i}" for i in range(4)]
+        for op, proc, index in operations:
+            pid = pids[proc % processes]
+            if op == "read":
+                builder.read(pid, paths[index], 1)
+            elif op == "write":
+                builder.write(pid, paths[index], 10)
+            else:
+                builder.flush(pid, paths[index])
+        collector = PassCollector()
+        versions = collector.versions
+        oracle = []
+        for event in builder.trace:
+            collector.feed(event)
+            if isinstance(event, WriteEvent):
+                file_ref = versions.current(collector.file_uuid(event.path))
+                proc_ref = versions.current(collector.process_uuid(event.pid))
+                oracle.append((file_ref, proc_ref))
+        graph = collector.graph
+        file_edges = [
+            (e.src, e.dst, e.edge_type)
+            for e in graph.edges()
+            if graph.node(e.src).node_type is NodeType.FILE
+        ]
+        assert len(file_edges) == len(set(file_edges))
+
+        def by_file(pairs):
+            grouped = {}
+            for file_ref, proc_ref in pairs:
+                grouped.setdefault(file_ref, []).append(proc_ref)
+            return grouped
+
+        written = [
+            (src, dst) for src, dst, kind in file_edges if kind is EdgeType.INPUT
+        ]
+        assert by_file(written) == by_file(dict.fromkeys(oracle))
